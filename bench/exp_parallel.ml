@@ -13,9 +13,9 @@
 let join_heavy = [ "Q1"; "Q2"; "Q3"; "Q4"; "Q5"; "Q6" ]
 
 (** Operator-targeted queries: the star queries stress the (sequential)
-    index-nested-loop side of the executor, these three hit the morsel
-    paths — fused scan, parallel sort + merge, partial-aggregate
-    merge. *)
+    index-nested-loop side of the executor; SCAN hits the parallel fused
+    scan, and SORT/AGG measure what a parallel scan buys a query whose
+    sort or aggregation then runs sequentially. *)
 let operator_queries =
   [ ("SCAN", "SELECT ?s ?o WHERE { ?s ?p ?o }");
     ("SORT", "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s");

@@ -328,11 +328,6 @@ let rec opstats_json (s : Relsql.Opstats.t) : json =
           [ ("workers", J_int s.Relsql.Opstats.workers);
             ("par_ms", J_float s.Relsql.Opstats.par_ms) ]
         else [])
-     @ (if s.Relsql.Opstats.partitions > 0 then
-          [ ("partitions", J_int s.Relsql.Opstats.partitions);
-            ("build_workers", J_int s.Relsql.Opstats.build_workers);
-            ("build_ms", J_float s.Relsql.Opstats.build_ms) ]
-        else [])
      @ (if s.Relsql.Opstats.cache_hits + s.Relsql.Opstats.cache_misses > 0 then
           [ ("scan_cache_hits", J_int s.Relsql.Opstats.cache_hits);
             ("scan_cache_misses", J_int s.Relsql.Opstats.cache_misses) ]
@@ -526,8 +521,7 @@ let collect_timings (j : json) : (string * float) list =
           let path =
             path
             @ List.filter_map tag
-                [ "experiment"; "workload"; "query"; "system"; "domains";
-                  "partitions" ]
+                [ "experiment"; "workload"; "query"; "system"; "domains" ]
           in
           List.fold_left
             (fun acc (k, v) ->

@@ -7,9 +7,8 @@
     (E3/Table 4), spills (E4), nulls (E5), flow (E6/Fig 14), summary
     (E7/Fig 15, includes E8/Fig 16, E9/Fig 17, E10/Fig 18), ablation
     (E11), load (E12 — the future-work insertion/update study), parallel
-    (E13 — morsel-driven executor scaling over OCaml domains), join
-    (E14 — radix-partitioned hash-join builds over a domains×partitions
-    grid), compress (E15 — boxed rows vs bit-packed columnar storage on
+    (E13 — morsel-driven executor scaling over OCaml domains), compress
+    (E15 — boxed rows vs bit-packed columnar storage on
     identical data), wcoj (E16 — multiway leapfrog join vs the binary
     pipeline on the snowflake workload), extvp (E17 — ExtVP semi-join
     reductions vs the plain merged pipeline on snowflake plus the
@@ -43,7 +42,6 @@ let () =
   if Harness.enabled cfg "ablation" then Exp_ablation.run cfg;
   if Harness.enabled cfg "load" then Exp_load.run cfg;
   if Harness.enabled cfg "parallel" then Exp_parallel.run cfg;
-  if Harness.enabled cfg "join" then Exp_join.run cfg;
   if Harness.enabled cfg "compress" then Exp_compress.run cfg;
   if Harness.enabled cfg "wcoj" then Exp_wcoj.run cfg;
   if Harness.enabled cfg "extvp" then Exp_extvp.run cfg;

@@ -49,12 +49,6 @@ let load_domains_arg =
              store)." in
   Arg.(value & opt int 1 & info [ "load-domains" ] ~docv:"N" ~doc)
 
-let join_partitions_arg =
-  let doc = "Radix partitions for parallel hash-join builds (rounded up \
-             to a power of two; 0 = auto, sized from the domain count; \
-             results are bit-identical for every setting)." in
-  Arg.(value & opt int 0 & info [ "join-partitions" ] ~docv:"P" ~doc)
-
 let compress_arg =
   let doc = "Freeze tables into bit-packed columnar storage after load \
              (dictionary-coded columns, zone maps, run-length-encoded \
@@ -101,7 +95,45 @@ let extvp_budget_arg =
              used are evicted beyond it." in
   Arg.(value & opt int 64 & info [ "extvp-budget" ] ~docv:"MB" ~doc)
 
+(* ------------------------------------------------------------------ *)
+(* Malformed input                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** Exit status for input that does not parse: a SPARQL query or
+    update script, a SQL statement or an N-Triples line. Distinct from
+    1 (a check failed), 2 (unknown fuzz backend) and Cmdliner's 124
+    (bad command line) and 125 (internal error). *)
+let exit_parse_error = 3
+
+let exits =
+  Cmd.Exit.info exit_parse_error
+    ~doc:"on malformed input: a SPARQL query or update script, a SQL \
+          statement or an N-Triples line that does not parse."
+  :: Cmd.Exit.defaults
+
+(** Run [f], turning a parser exception into one [rdfstore: parse
+    error] line on stderr (with the error's position) and
+    {!exit_parse_error}. *)
+let parsing f =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("rdfstore: parse error " ^ msg);
+        exit exit_parse_error)
+      fmt
+  in
+  try f () with
+  | Sparql.Parser.Parse_error msg -> fail "in SPARQL: %s" msg
+  | Sparql.Lexer.Lex_error (msg, pos) ->
+    fail "in SPARQL at offset %d: %s" pos msg
+  | Rdf.Ntriples.Syntax_error { line; message } ->
+    fail "in N-Triples at line %d: %s" line message
+  | Relsql.Sql_parser.Parse_error msg -> fail "in SQL: %s" msg
+  | Relsql.Sql_lexer.Lex_error (msg, pos) ->
+    fail "in SQL at offset %d: %s" pos msg
+
 let load_triples spec =
+  parsing @@ fun () ->
   match String.split_on_char ':' spec with
   | [ "workload"; name ] | [ "workload"; name; _ ] ->
     let scale =
@@ -122,7 +154,7 @@ let load_triples spec =
     Rdf.Ntriples.parse_file (fun t -> acc := t :: !acc) spec;
     List.rev !acc
 
-let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
+let build_store ?(load_domains = 1) ?(compress = false)
     ?(merge_threshold = 0.25) ?(wcoj = false) ?(extvp = false)
     ?(extvp_build = false)
     ?(extvp_threshold = Relsql.Extvp.default_threshold)
@@ -139,8 +171,8 @@ let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
   | "db2rdf" ->
     let options =
       { Db2rdf.Engine.default_options with parallelism = domains; load_domains;
-        join_partitions; compress; merge_threshold; wcoj; extvp; extvp_build;
-        extvp_threshold; extvp_budget_mb }
+        compress; merge_threshold; wcoj; extvp; extvp_build; extvp_threshold;
+        extvp_budget_mb }
     in
     if no_coloring then begin
       let e =
@@ -180,6 +212,11 @@ let read_query = function
   | Some q -> q
   | None -> failwith "a SPARQL query (string or file) is required"
 
+let parse_query src = parsing (fun () -> Sparql.Parser.parse (read_query src))
+
+let parse_script src =
+  parsing (fun () -> Sparql.Parser.parse_script (read_query src))
+
 let query_arg =
   let doc = "SPARQL query text, or a path to a file containing it." in
   Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
@@ -188,17 +225,15 @@ let query_arg =
 (* query                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_query data backend k no_coloring domains load_domains join_partitions
-    compress wcoj extvp extvp_build extvp_threshold extvp_budget_mb timeout
-    query =
+let run_query data backend k no_coloring domains load_domains compress wcoj
+    extvp extvp_build extvp_threshold extvp_budget_mb timeout query =
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~wcoj ~extvp
-      ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
-      domains triples
+    build_store ~load_domains ~compress ~wcoj ~extvp ~extvp_build
+      ~extvp_threshold ~extvp_budget_mb backend k no_coloring domains triples
   in
-  let q = Sparql.Parser.parse (read_query query) in
+  let q = parse_query query in
   let t0 = Unix.gettimeofday () in
   match Db2rdf.Store.run ~timeout store q with
   | Db2rdf.Store.Complete r, dt ->
@@ -222,11 +257,13 @@ let run_query data backend k no_coloring domains load_domains join_partitions
     ignore t0
 
 let query_cmd =
-  let info = Cmd.info "query" ~doc:"Load data and evaluate a SPARQL query." in
+  let info =
+    Cmd.info "query" ~exits ~doc:"Load data and evaluate a SPARQL query."
+  in
   Cmd.v info
     Term.(
       const run_query $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ load_domains_arg $ compress_arg
       $ wcoj_arg $ extvp_arg $ extvp_build_arg $ extvp_threshold_arg
       $ extvp_budget_arg $ timeout_arg $ query_arg)
 
@@ -242,17 +279,17 @@ let update_summary = function
   | Sparql.Ast.Delete_where tps ->
     Printf.sprintf "DELETE WHERE (%d patterns)" (List.length tps)
 
-let run_update data backend k no_coloring domains load_domains join_partitions
-    compress merge_threshold wcoj extvp extvp_build extvp_threshold
-    extvp_budget_mb timeout script =
+let run_update data backend k no_coloring domains load_domains compress
+    merge_threshold wcoj extvp extvp_build extvp_threshold extvp_budget_mb
+    timeout script =
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~merge_threshold ~wcoj
-      ~extvp ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k
-      no_coloring domains triples
+    build_store ~load_domains ~compress ~merge_threshold ~wcoj ~extvp
+      ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
+      domains triples
   in
-  let statements = Sparql.Parser.parse_script (read_query script) in
+  let statements = parse_script script in
   List.iteri
     (fun i stmt ->
       match stmt with
@@ -292,7 +329,7 @@ let update_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SCRIPT" ~doc)
   in
   let info =
-    Cmd.info "update"
+    Cmd.info "update" ~exits
       ~doc:"Load data and apply a SPARQL 1.1 update script. Statements \
             run in order against the chosen backend's live store; SELECT \
             statements in the script are evaluated and their row counts \
@@ -303,7 +340,7 @@ let update_cmd =
   Cmd.v info
     Term.(
       const run_update $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ load_domains_arg $ compress_arg
       $ merge_threshold_arg $ wcoj_arg $ extvp_arg $ extvp_build_arg
       $ extvp_threshold_arg $ extvp_budget_arg $ timeout_arg $ script_arg)
 
@@ -311,16 +348,14 @@ let update_cmd =
 (* explain                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_explain data backend k no_coloring domains load_domains
-    join_partitions compress wcoj extvp extvp_build extvp_threshold
-    extvp_budget_mb analyze timeout query =
+let run_explain data backend k no_coloring domains load_domains compress wcoj
+    extvp extvp_build extvp_threshold extvp_budget_mb analyze timeout query =
   let triples = load_triples data in
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~wcoj ~extvp
-      ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
-      domains triples
+    build_store ~load_domains ~compress ~wcoj ~extvp ~extvp_build
+      ~extvp_threshold ~extvp_budget_mb backend k no_coloring domains triples
   in
-  let q = Sparql.Parser.parse (read_query query) in
+  let q = parse_query query in
   print_endline (store.Db2rdf.Store.explain q);
   if analyze then begin
     match store.Db2rdf.Store.analyze ~timeout q with
@@ -342,13 +377,13 @@ let analyze_arg =
 
 let explain_cmd =
   let info =
-    Cmd.info "explain"
+    Cmd.info "explain" ~exits
       ~doc:"Show the translation pipeline (flow, plan, SQL) for a query."
   in
   Cmd.v info
     Term.(
       const run_explain $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ load_domains_arg $ compress_arg
       $ wcoj_arg $ extvp_arg $ extvp_build_arg $ extvp_threshold_arg
       $ extvp_budget_arg $ analyze_arg $ timeout_arg $ query_arg)
 
@@ -369,7 +404,7 @@ let generate_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write to FILE instead of stdout.")
   in
-  let info = Cmd.info "generate" ~doc:"Emit a dataset as N-Triples." in
+  let info = Cmd.info "generate" ~exits ~doc:"Emit a dataset as N-Triples." in
   Cmd.v info Term.(const run_generate $ data_arg $ output)
 
 (* ------------------------------------------------------------------ *)
@@ -468,7 +503,9 @@ let run_stats data k compress extvp extvp_threshold extvp_budget_mb =
   if extvp then print_extvp_report e
 
 let stats_cmd =
-  let info = Cmd.info "stats" ~doc:"Load data and print storage statistics." in
+  let info =
+    Cmd.info "stats" ~exits ~doc:"Load data and print storage statistics."
+  in
   Cmd.v info
     Term.(
       const run_stats $ data_arg $ columns_arg $ compress_arg $ extvp_arg
@@ -505,7 +542,7 @@ let run_merge data k merge_threshold script =
              (update_summary u)
              ((Unix.gettimeofday () -. t0) *. 1000.0)
          | Sparql.Ast.S_query _ -> ())
-       (Sparql.Parser.parse_script (read_query (Some src))));
+       (parse_script (Some src)));
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
   print_compression_reports db;
   let t0 = Unix.gettimeofday () in
@@ -521,7 +558,7 @@ let merge_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SCRIPT" ~doc)
   in
   let info =
-    Cmd.info "merge"
+    Cmd.info "merge" ~exits
       ~doc:"Load data compressed, optionally apply an update script \
             whose writes stay on the boxed delta side, then eagerly \
             fold every table's delta back into its packed main \
@@ -542,7 +579,7 @@ let merge_cmd =
 (* sql                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_sql data k no_coloring domains join_partitions stmt =
+let run_sql data k no_coloring domains stmt =
   let triples = load_triples data in
   let e =
     if no_coloring then begin
@@ -560,8 +597,7 @@ let run_sql data k no_coloring domains join_partitions stmt =
   in
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
   Relsql.Database.set_parallelism db domains;
-  Relsql.Database.set_join_partitions db join_partitions;
-  let parsed = Relsql.Sql_parser.parse (read_query stmt) in
+  let parsed = parsing (fun () -> Relsql.Sql_parser.parse (read_query stmt)) in
   let r = Relsql.Executor.run db parsed in
   print_endline (String.concat "\t" (Relsql.Executor.column_names r));
   Relsql.Batch.iter
@@ -574,12 +610,13 @@ let run_sql data k no_coloring domains join_partitions stmt =
 
 let sql_cmd =
   let info =
-    Cmd.info "sql" ~doc:"Run raw SQL against the DB2RDF relations (DPH/DS/RPH/RS/DICT)."
+    Cmd.info "sql" ~exits
+      ~doc:"Run raw SQL against the DB2RDF relations (DPH/DS/RPH/RS/DICT)."
   in
   Cmd.v info
     Term.(
       const run_sql $ data_arg $ columns_arg $ no_color_arg $ domains_arg
-      $ join_partitions_arg $ query_arg)
+      $ query_arg)
 
 (* ------------------------------------------------------------------ *)
 (* load                                                                *)
@@ -654,7 +691,7 @@ let load_cmd =
                  rows, row order, lids, spill flags, registries).")
   in
   let info =
-    Cmd.info "load"
+    Cmd.info "load" ~exits
       ~doc:"Bulk-load data and print per-phase timings (parse, encode, \
             merge, assemble) of the morsel-parallel loader."
   in
@@ -667,8 +704,8 @@ let load_cmd =
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_fuzz seed cases timeout fuzz_backend domains load_domains
-    join_partitions compressed wcoj extvp updates corpus replay verbose =
+let run_fuzz seed cases timeout fuzz_backend domains load_domains compressed
+    wcoj extvp updates corpus replay verbose =
   (match fuzz_backend with
    | Some b when not (List.mem b Fuzz.Runner.backend_names) ->
      Printf.eprintf "unknown backend %S; available: %s\n" b
@@ -692,7 +729,7 @@ let run_fuzz seed cases timeout fuzz_backend domains load_domains
         let r = Fuzz.Repro.read file in
         match
           Fuzz.Runner.check_repro ?only:fuzz_backend ~domains ~load_domains
-            ~join_partitions ~compressed ~wcoj ~extvp ~timeout r
+            ~compressed ~wcoj ~extvp ~timeout r
         with
         | Ok () -> Printf.printf "PASS %s\n%!" file
         | Error detail ->
@@ -714,7 +751,6 @@ let run_fuzz seed cases timeout fuzz_backend domains load_domains
         only = fuzz_backend;
         domains;
         load_domains;
-        join_partitions;
         compressed;
         wcoj;
         extvp;
@@ -759,12 +795,6 @@ let fuzz_cmd =
            ~doc:"Build the engine backends through the morsel-parallel \
                  bulk loader with N domains, so load bugs surface as \
                  query divergences.")
-  in
-  let join_partitions =
-    Arg.(value & opt int 0 & info [ "join-partitions" ] ~docv:"P"
-           ~doc:"Run the relational backends with P radix partitions in \
-                 their parallel hash-join builds (0 = auto), so \
-                 partitioned-build bugs surface as divergences.")
   in
   let compressed =
     Arg.(value & flag & info [ "compressed" ]
@@ -823,7 +853,7 @@ let fuzz_cmd =
   Cmd.v info
     Term.(
       const run_fuzz $ seed $ cases $ timeout $ backend $ domains
-      $ load_domains $ join_partitions $ compressed $ wcoj $ extvp $ updates
+      $ load_domains $ compressed $ wcoj $ extvp $ updates
       $ corpus $ replay $ verbose)
 
 (* ------------------------------------------------------------------ *)

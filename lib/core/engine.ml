@@ -14,9 +14,6 @@ type options = {
   load_domains : int;
       (** domains for the bulk loader's morsel pipeline (1 = the
           untouched sequential path; the result is bit-identical) *)
-  join_partitions : int;
-      (** radix partitions for parallel hash-join builds
-          (0 = auto: sized from the domain count at execution time) *)
   compress : bool;
       (** freeze tables into bit-packed columnar storage after bulk
           load (zone maps + word-at-a-time scans); purely physical,
@@ -52,7 +49,7 @@ type options = {
 
 let default_options =
   { optimize = true; merge = true; late_fuse = true; parallelism = 1;
-    load_domains = 1; join_partitions = 0; compress = false;
+    load_domains = 1; compress = false;
     merge_threshold = 0.25; wcoj = false;
     extvp = false; extvp_build = false;
     extvp_threshold = Relsql.Extvp.default_threshold; extvp_budget_mb = 64 }
@@ -63,9 +60,8 @@ let default_options =
    but differing in (say) [wcoj] or [parallelism] must not serve each
    other's plans. *)
 let options_fingerprint (o : options) =
-  Printf.sprintf "O%b%b%b|p%d|l%d|j%d|c%b|mt%.4f|w%b|e%b|eb%b|et%.4f|em%d"
-    o.optimize o.merge o.late_fuse o.parallelism o.load_domains
-    o.join_partitions o.compress o.merge_threshold o.wcoj o.extvp
+  Printf.sprintf "O%b%b%b|p%d|l%d|c%b|mt%.4f|w%b|e%b|eb%b|et%.4f|em%d"
+    o.optimize o.merge o.late_fuse o.parallelism o.load_domains o.compress o.merge_threshold o.wcoj o.extvp
     o.extvp_build o.extvp_threshold o.extvp_budget_mb
 
 type t = {
@@ -159,8 +155,6 @@ let create ?(layout = Layout.default) ?(options = default_options) ?direct_map
     ?reverse_map () =
   let loader = Loader.create ~layout ?direct_map ?reverse_map () in
   Relsql.Database.set_parallelism (Loader.database loader) options.parallelism;
-  Relsql.Database.set_join_partitions (Loader.database loader)
-    options.join_partitions;
   Relsql.Database.set_wcoj (Loader.database loader) options.wcoj;
   (* The relational planner cannot see RDF statistics; the engine
      bridges the layers by installing the CS-informed chooser as a

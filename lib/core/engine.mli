@@ -16,11 +16,6 @@ type options = {
   load_domains : int;
       (** domains for the bulk loader's morsel pipeline (1 = the
           untouched sequential path; the result is bit-identical) *)
-  join_partitions : int;
-      (** radix partitions for parallel hash-join builds (rounded up
-          to a power of two by the executor; 0 = auto, sized from the
-          domain count at execution time; results are bit-identical
-          for every setting) *)
   compress : bool;
       (** freeze tables into bit-packed columnar storage after bulk
           load (zone maps + word-at-a-time scans); purely physical,

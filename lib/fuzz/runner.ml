@@ -39,11 +39,6 @@ type results = Sparql.Ref_eval.results
     the parallel bulk loader, so a load bug (ids, row order, lids,
     spill flags) surfaces as a query divergence against the oracle.
 
-    [join_partitions] sets the radix partition count for parallel
-    hash-join builds on every backend (0 = auto), so a partitioned-
-    build bug (routing, partition order, NULL keys) surfaces as a
-    divergence too.
-
     [compressed] freezes every backend's tables into bit-packed
     columnar storage after load while the oracle keeps evaluating the
     graph directly — so any compressed-path bug (packing, zone-map
@@ -74,30 +69,26 @@ let force_extvp (e : Db2rdf.Engine.t) =
     (Db2rdf.Engine.extvp_registry e)
 
 let make_backends ?only ?(domains = 1) ?(load_domains = 1)
-    ?(join_partitions = 0) ?(compressed = false) ?(wcoj = false)
-    ?(extvp = false) (triples : Rdf.Triple.t list) : Db2rdf.Store.t list =
-  if domains > 1 || join_partitions > 1 then
-    Relsql.Executor.par_min_rows := 2;
+    ?(compressed = false) ?(wcoj = false) ?(extvp = false)
+    (triples : Rdf.Triple.t list) : Db2rdf.Store.t list =
+  if domains > 1 then Relsql.Executor.par_min_rows := 2;
   let options =
     { Db2rdf.Engine.default_options with parallelism = domains; load_domains;
-      join_partitions; compress = compressed; wcoj; extvp }
+      compress = compressed; wcoj; extvp }
   in
   let forced e =
     if wcoj then force_wcoj_selector e;
     if extvp then force_extvp e
   in
   (* Triple/vertical stores build their catalogs internally; they pick
-     the parallelism, partition count and compression up from the
+     the parallelism and compression up from the
      process-wide defaults at creation. *)
   let saved = !Relsql.Database.default_parallelism in
-  let saved_parts = !Relsql.Database.default_join_partitions in
   let saved_compress = !Relsql.Database.default_compress in
   Relsql.Database.default_parallelism := domains;
-  Relsql.Database.default_join_partitions := join_partitions;
   Relsql.Database.default_compress := compressed;
   let restore () =
     Relsql.Database.default_parallelism := saved;
-    Relsql.Database.default_join_partitions := saved_parts;
     Relsql.Database.default_compress := saved_compress
   in
   let thunks =
@@ -124,8 +115,8 @@ let make_backends ?only ?(domains = 1) ?(load_domains = 1)
           let options =
             { Db2rdf.Engine.default_options with
               optimize = false; merge = false; late_fuse = false;
-              parallelism = domains; load_domains; join_partitions;
-              compress = compressed; wcoj; extvp }
+              parallelism = domains; load_domains; compress = compressed;
+              wcoj; extvp }
           in
           let e =
             Db2rdf.Engine.create
@@ -343,11 +334,10 @@ let strip_modifiers q = { q with limit = None; offset = None }
 
 (** Run [q] on the oracle and every backend over [triples]. [domains]
     runs the backends in parallel-execution mode, [load_domains] builds
-    them through the parallel bulk loader, [join_partitions] partitions
-    their hash-join builds, [compressed] freezes their tables into
+    them through the parallel bulk loader, [compressed] freezes their tables into
     bit-packed columnar storage (the oracle is always sequential and
     uncompressed). *)
-let run_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
+let run_case ?only ?domains ?load_domains ?compressed ?wcoj
     ?extvp ?(timeout = 5.0) (triples : Rdf.Triple.t list) (q : query) :
   case_result =
   let g = Rdf.Graph.create () in
@@ -357,7 +347,7 @@ let run_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
   | exception e -> Skipped ("oracle failed: " ^ Printexc.to_string e)
   | oracle_full ->
     let stores =
-      make_backends ?only ?domains ?load_domains ?join_partitions ?compressed
+      make_backends ?only ?domains ?load_domains ?compressed
         ?wcoj ?extvp triples
     in
     let divergences =
@@ -403,13 +393,13 @@ let graph_dump (g : Rdf.Graph.t) : string list =
     diffed against the reference graph; each SELECT statement is
     checked with the same equivalence as plain query fuzzing. Stops at
     the first divergent statement. *)
-let run_script_case ?only ?domains ?load_domains ?join_partitions ?compressed
+let run_script_case ?only ?domains ?load_domains ?compressed
     ?wcoj ?extvp ?(timeout = 5.0) (triples : Rdf.Triple.t list)
     (script : statement list) : case_result =
   let g = Rdf.Graph.create () in
   List.iter (Rdf.Graph.add g) triples;
   let stores =
-    make_backends ?only ?domains ?load_domains ?join_partitions ?compressed
+    make_backends ?only ?domains ?load_domains ?compressed
       ?wcoj ?extvp triples
   in
   let divergences = ref [] and skipped = ref None in
@@ -495,7 +485,6 @@ type config = {
   only : string option;  (** restrict to one backend by name *)
   domains : int;  (** backend execution parallelism (1 = sequential) *)
   load_domains : int;  (** bulk-load parallelism (1 = sequential) *)
-  join_partitions : int;  (** hash-join build partitions (0 = auto) *)
   compressed : bool;  (** freeze backend tables after load *)
   wcoj : bool;  (** force the leapfrog join on DB2RDF backends *)
   extvp : bool;  (** force semi-join reductions on DB2RDF backends *)
@@ -515,7 +504,6 @@ let default_config =
     only = None;
     domains = 1;
     load_domains = 1;
-    join_partitions = 0;
     compressed = false;
     wcoj = false;
     extvp = false;
@@ -539,22 +527,22 @@ let roundtrip (q : query) : query option =
 let divergence_lines divs =
   List.map (fun d -> Printf.sprintf "%s: %s" d.backend d.detail) divs
 
-let case_fails ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
+let case_fails ?only ?domains ?load_domains ?compressed ?wcoj
     ?extvp ~timeout (c : Shrink.case) : bool =
   match roundtrip c.Shrink.query with
   | None -> false
   | Some q ->
     (match
-       run_case ?only ?domains ?load_domains ?join_partitions ?compressed
+       run_case ?only ?domains ?load_domains ?compressed
          ?wcoj ?extvp ~timeout c.Shrink.triples q
      with
      | Diverged _ -> true
      | Agree | Skipped _ -> false)
 
-let shrink_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
+let shrink_case ?only ?domains ?load_domains ?compressed ?wcoj
     ?extvp ~timeout (c : Shrink.case) : Shrink.case =
   Shrink.minimize
-    (case_fails ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
+    (case_fails ?only ?domains ?load_domains ?compressed ?wcoj
        ?extvp ~timeout)
     c
 
@@ -565,14 +553,14 @@ let roundtrip_script (s : statement list) : statement list option =
   | s' -> Some s'
   | exception _ -> None
 
-let script_fails ?only ?domains ?load_domains ?join_partitions ?compressed
-    ?wcoj ?extvp ~timeout (c : Shrink.script_case) : bool =
+let script_fails ?only ?domains ?load_domains ?compressed ?wcoj ?extvp
+    ~timeout (c : Shrink.script_case) : bool =
   match roundtrip_script c.Shrink.script with
   | None -> false
   | Some script ->
     (match
-       run_script_case ?only ?domains ?load_domains ?join_partitions
-         ?compressed ?wcoj ?extvp ~timeout c.Shrink.s_triples script
+       run_script_case ?only ?domains ?load_domains ?compressed ?wcoj
+         ?extvp ~timeout c.Shrink.s_triples script
      with
      | Diverged _ -> true
      | Agree | Skipped _ -> false)
@@ -607,7 +595,6 @@ let fuzz (config : config) : summary =
       (match
          run_case ?only:config.only ~domains:config.domains
            ~load_domains:config.load_domains
-           ~join_partitions:config.join_partitions
            ~compressed:config.compressed ~wcoj:config.wcoj
            ~extvp:config.extvp ~timeout:config.timeout triples q
        with
@@ -623,7 +610,6 @@ let fuzz (config : config) : summary =
          let small =
            shrink_case ?only:config.only ~domains:config.domains
              ~load_domains:config.load_domains
-             ~join_partitions:config.join_partitions
              ~compressed:config.compressed ~wcoj:config.wcoj
              ~extvp:config.extvp ~timeout:config.timeout
              { Shrink.triples; query = q }
@@ -637,7 +623,6 @@ let fuzz (config : config) : summary =
            match
              run_case ?only:config.only ~domains:config.domains
                ~load_domains:config.load_domains
-               ~join_partitions:config.join_partitions
                ~compressed:config.compressed ~wcoj:config.wcoj
                ~extvp:config.extvp ~timeout:config.timeout
                small.Shrink.triples small_q
@@ -666,7 +651,6 @@ let fuzz (config : config) : summary =
       (match
          run_script_case ?only:config.only ~domains:config.domains
            ~load_domains:config.load_domains
-           ~join_partitions:config.join_partitions
            ~compressed:config.compressed ~wcoj:config.wcoj
            ~extvp:config.extvp ~timeout:config.timeout triples script
        with
@@ -683,7 +667,6 @@ let fuzz (config : config) : summary =
            Shrink.minimize_script
              (script_fails ?only:config.only ~domains:config.domains
                 ~load_domains:config.load_domains
-                ~join_partitions:config.join_partitions
                 ~compressed:config.compressed ~wcoj:config.wcoj
                 ~extvp:config.extvp ~timeout:config.timeout)
              { Shrink.s_triples = triples; script }
@@ -697,7 +680,6 @@ let fuzz (config : config) : summary =
            match
              run_script_case ?only:config.only ~domains:config.domains
                ~load_domains:config.load_domains
-               ~join_partitions:config.join_partitions
                ~compressed:config.compressed ~wcoj:config.wcoj
                ~extvp:config.extvp ~timeout:config.timeout
                small.Shrink.s_triples small_script
@@ -730,7 +712,7 @@ let fuzz (config : config) : summary =
 
 (** Replay one reproducer (query or update script); [Error lines] on
     any divergence. *)
-let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
+let check_repro ?only ?domains ?load_domains ?compressed ?wcoj
     ?extvp ?(timeout = 5.0) (r : Repro.t) : (unit, string) result =
   match r.Repro.script_src with
   | Some src ->
@@ -739,8 +721,8 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
        Error ("repro script does not parse: " ^ msg)
      | script ->
        (match
-          run_script_case ?only ?domains ?load_domains ?join_partitions
-            ?compressed ?wcoj ?extvp ~timeout r.Repro.triples script
+          run_script_case ?only ?domains ?load_domains ?compressed ?wcoj
+            ?extvp ~timeout r.Repro.triples script
         with
         | Agree -> Ok ()
         | Skipped why -> Error ("repro skipped: " ^ why)
@@ -751,7 +733,7 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
        Error ("repro query does not parse: " ^ msg)
      | q ->
        (match
-          run_case ?only ?domains ?load_domains ?join_partitions ?compressed
+          run_case ?only ?domains ?load_domains ?compressed
             ?wcoj ?extvp ~timeout r.Repro.triples q
         with
         | Agree -> Ok ()

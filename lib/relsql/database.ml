@@ -9,9 +9,6 @@ type t = {
   mutable parallelism : int;
       (* domains the executor may use for statements against this
          database when the caller does not say otherwise *)
-  mutable join_partitions : int;
-      (* radix partitions for parallel hash-join builds; 0 = auto
-         (sized from the domain count at execution time) *)
   mutable wcoj : bool;
       (* when set, the planner may replace eligible flat multiway joins
          with the leapfrog (worst-case-optimal) operator *)
@@ -35,10 +32,6 @@ type t = {
     plumbing. 1 = sequential execution. *)
 let default_parallelism = ref 1
 
-(** Radix partition count adopted at creation (the CLI's
-    [--join-partitions] flag); 0 = auto. *)
-let default_join_partitions = ref 0
-
 (** When set (the CLI's [--compress] flag), store backends freeze their
     tables into bit-packed columnar form after bulk load. Purely
     physical — results are identical either way. *)
@@ -51,7 +44,6 @@ let default_wcoj = ref false
 let create name =
   { name; tables = Hashtbl.create 16; parent = None;
     parallelism = max 1 !default_parallelism;
-    join_partitions = max 0 !default_join_partitions;
     wcoj = !default_wcoj; wcoj_selector = None;
     scan_cache = Scan_cache.create (); extvp = None }
 
@@ -60,7 +52,6 @@ let create name =
 let overlay parent =
   { name = parent.name ^ "+"; tables = Hashtbl.create 8; parent = Some parent;
     parallelism = parent.parallelism;
-    join_partitions = parent.join_partitions;
     wcoj = parent.wcoj; wcoj_selector = parent.wcoj_selector;
     scan_cache = parent.scan_cache; extvp = parent.extvp }
 
@@ -68,12 +59,6 @@ let overlay parent =
 let set_parallelism t n = t.parallelism <- max 1 n
 
 let parallelism t = t.parallelism
-
-(** Set the radix partition count for parallel hash-join builds
-    (rounded up to a power of two by the executor); 0 = auto. *)
-let set_join_partitions t n = t.join_partitions <- max 0 n
-
-let join_partitions t = t.join_partitions
 
 (** Enable or disable WCOJ planning for statements against this
     database. Purely a plan-shape knob — results are identical. *)
@@ -168,7 +153,7 @@ let compression_reports t =
 let snapshot t =
   let s =
     { name = t.name ^ "@snap"; tables = Hashtbl.create 16; parent = None;
-      parallelism = t.parallelism; join_partitions = t.join_partitions;
+      parallelism = t.parallelism;
       wcoj = t.wcoj; wcoj_selector = None;
       scan_cache = Scan_cache.create (); extvp = None }
   in

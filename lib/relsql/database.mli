@@ -11,11 +11,6 @@ type t
     plumbing. 1 = sequential execution. *)
 val default_parallelism : int ref
 
-(** Radix partition count for parallel hash-join builds adopted by
-    databases at creation (the CLI's [--join-partitions] flag);
-    0 = auto (sized from the domain count at execution time). *)
-val default_join_partitions : int ref
-
 (** When set (the CLI's [--compress] flag), store backends freeze their
     tables into bit-packed columnar form after bulk load. Purely
     physical — results are identical either way. *)
@@ -47,14 +42,6 @@ val add_table : t -> Table.t -> unit
 val set_parallelism : t -> int -> unit
 
 val parallelism : t -> int
-
-(** Set the radix partition count for parallel hash-join builds
-    (rounded up to a power of two by the executor; clamped to at
-    least 0). 0 = auto. Overlays inherit their parent's setting at
-    creation. *)
-val set_join_partitions : t -> int -> unit
-
-val join_partitions : t -> int
 
 (** Enable or disable WCOJ planning for statements against this
     database. Overlays inherit the setting at creation. *)

@@ -50,8 +50,8 @@ type t = {
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Claim morsels until the job is drained or aborted. Each participant
-   draws a unique worker id in [0, size) for the job, letting operator
-   code keep per-worker partial state (e.g. aggregation tables). *)
+   draws a unique worker id in [0, size) for the job, letting callers
+   keep per-worker state. *)
 let participate (j : job) =
   let w = Atomic.fetch_and_add j.enter 1 in
   Mutex.lock j.jmu;
@@ -198,70 +198,6 @@ let run_ranges t ~n ?min_per_morsel (fn : worker:int -> lo:int -> hi:int -> unit
   run t ~morsels:(Array.length rs) (fun ~worker i ->
       let lo, hi = rs.(i) in
       fn ~worker ~lo ~hi)
-
-(* ------------------------------------------------------------------ *)
-(* Two-phase radix partitioning (histogram / scatter)                  *)
-(* ------------------------------------------------------------------ *)
-
-(** [partition t ~n ~parts ~part_of] splits the items [0, n) into
-    [parts] buckets by [part_of] (a pure, domain-safe function; a
-    negative result drops the item) and returns [(starts, perm)]:
-    [perm] lists the kept item indices bucket by bucket, and bucket [p]
-    occupies [perm.(starts.(p)) .. perm.(starts.(p + 1) - 1)].
-
-    The classic two-phase radix shape (Balkesen et al., ICDE 2013),
-    morselized: phase one has each participant histogram the contiguous
-    ranges it claims into a per-range count matrix; a sequential prefix
-    sum then assigns every (range, bucket) pair its exact destination
-    slice; phase two scatters items into [perm] with no atomics and no
-    overlap. Because ranges are contiguous and the prefix sum walks
-    them in order, items within a bucket appear in ascending index
-    order — the output is deterministic and independent of how workers
-    claimed the morsels. *)
-let partition t ~n ~parts ~(part_of : int -> int) : int array * int array =
-  let rs = ranges t ~n ~min_per_morsel:256 () in
-  let m = Array.length rs in
-  (* counts.(r) is range r's histogram over the buckets. *)
-  let counts = Array.init m (fun _ -> Array.make parts 0) in
-  ignore
-    (run t ~morsels:m (fun ~worker:_ r ->
-         let lo, hi = rs.(r) in
-         let c = counts.(r) in
-         for i = lo to hi - 1 do
-           let p = part_of i in
-           if p >= 0 then c.(p) <- c.(p) + 1
-         done));
-  (* Prefix sums: bucket starts, then per-(range, bucket) cursors laid
-     out so range r's slice of bucket p precedes range r+1's. *)
-  let starts = Array.make (parts + 1) 0 in
-  for p = 0 to parts - 1 do
-    let total = ref 0 in
-    for r = 0 to m - 1 do
-      total := !total + counts.(r).(p)
-    done;
-    starts.(p + 1) <- starts.(p) + !total
-  done;
-  let offsets = Array.init m (fun _ -> Array.make parts 0) in
-  for p = 0 to parts - 1 do
-    let cursor = ref starts.(p) in
-    for r = 0 to m - 1 do
-      offsets.(r).(p) <- !cursor;
-      cursor := !cursor + counts.(r).(p)
-    done
-  done;
-  let perm = Array.make starts.(parts) 0 in
-  ignore
-    (run t ~morsels:m (fun ~worker:_ r ->
-         let lo, hi = rs.(r) in
-         let cursors = offsets.(r) in
-         for i = lo to hi - 1 do
-           let p = part_of i in
-           if p >= 0 then begin
-             perm.(cursors.(p)) <- i;
-             cursors.(p) <- cursors.(p) + 1
-           end
-         done));
-  (starts, perm)
 
 (* ------------------------------------------------------------------ *)
 (* Shared pools                                                        *)

@@ -85,22 +85,6 @@ let par_section (stats : Opstats.t) pool ~morsels fn =
   stats.Opstats.par_ms <-
     stats.Opstats.par_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0)
 
-let rec next_pow2 n = if n <= 1 then 1 else 2 * next_pow2 ((n + 1) / 2)
-
-(** Partition count for radix-partitioned hash-join builds: an explicit
-    request is rounded up to a power of two; auto (0) gives twice the
-    pool size — enough sub-tables that morsel claiming balances skewed
-    builds — or 1 on a sequential pool, where partitioning is pure
-    overhead. Capped so the per-partition bookkeeping of tiny builds
-    stays bounded. *)
-let resolve_join_partitions pool requested =
-  let p =
-    if requested > 0 then requested
-    else if Dpool.size pool <= 1 then 1
-    else 2 * Dpool.size pool
-  in
-  min 256 (next_pow2 p)
-
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -126,43 +110,10 @@ module VTbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-(* Stable parallel sort of an index array: split into contiguous
-   chunks, stable-sort each on the pool, then k-way merge preferring
-   the leftmost chunk on ties. Equal elements end up ordered by chunk
-   and, within a chunk, by the stable per-chunk sort — i.e. by original
-   position — so the result is bit-identical to a global
-   [Array.stable_sort]. *)
-let par_stable_sort ticker pool (stats : Opstats.t) cmp (arr : int array) =
-  let n = Array.length arr in
-  match morsels_for pool n with
-  | None -> Array.stable_sort cmp arr
-  | Some (m, msize) ->
-    let chunks =
-      Array.init m (fun i ->
-          let lo = i * msize in
-          Array.sub arr lo (min n (lo + msize) - lo))
-    in
-    par_section stats pool ~morsels:m (fun ~worker:_ i ->
-        check_deadline ticker;
-        Array.stable_sort cmp chunks.(i));
-    let heads = Array.make m 0 in
-    for k = 0 to n - 1 do
-      let best = ref (-1) in
-      for c = 0 to m - 1 do
-        if heads.(c) < Array.length chunks.(c) then
-          if
-            !best < 0
-            || cmp chunks.(c).(heads.(c)) chunks.(!best).(heads.(!best)) < 0
-          then best := c
-      done;
-      arr.(k) <- chunks.(!best).(heads.(!best));
-      heads.(!best) <- heads.(!best) + 1
-    done
-
 (** DISTINCT, ORDER BY (over precomputed per-row key columns), then
     OFFSET/LIMIT, applied to a computed output batch via an index
     permutation. *)
-let finalize ticker pool stats ~distinct
+let finalize ticker ~distinct
     ~(sort_keys : (Value.t array * bool) list) ~limit ~offset (out : Batch.t)
     : Batch.t =
   if (not distinct) && sort_keys = [] && limit = None && offset = None then out
@@ -211,7 +162,7 @@ let finalize ticker pool stats ~distinct
     (match sort_keys with
      | [] -> ()
      | ks ->
-       par_stable_sort ticker pool stats
+       Array.stable_sort
          (fun a b ->
            let rec cmp = function
              | [] -> 0
@@ -245,9 +196,6 @@ type ctx = {
   ticker : ticker;
   ctes : (string, Batch.t) Hashtbl.t;
   pool : Dpool.t;  (* size 1 = sequential execution *)
-  join_parts : int;
-      (* resolved radix partition count for hash-join builds (a power
-         of two; 1 = sequential inline build) *)
 }
 
 let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
@@ -978,11 +926,8 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
     let nr = Batch.length r in
     let rscratch = Array.make rw Value.Null in
     (* Build once over the right batch; [probe row f] calls [f] on the
-       matching build row indices in build order. The sequential builds'
-       backward loops make the cons-lists come out forward; the
-       partitioned build appends ascending per partition — either way
-       matches replay in global build order, so every build strategy
-       emits bit-identical output. *)
+       matching build row indices in build order (the backward build
+       loops make the cons-lists come out forward). *)
     (* A build key that is a plain column reads straight out of the
        right batch — no full-row blit just to extract one cell (DPH/RPH
        rows are wide, so the blit dominated single-key builds). *)
@@ -999,57 +944,6 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         ( List.map (Expr_eval.compile llay) left_keys,
           List.map (Expr_eval.compile rlay) right_keys )
       with
-      | [ lf ], [ rf ] when ctx.join_parts > 1 && nr >= !par_min_rows ->
-        (* Radix-partitioned parallel build (Balkesen et al., ICDE
-           2013, morselized): extract keys, two-phase histogram/scatter
-           them into hash partitions, then build disjoint per-partition
-           sub-tables — one morsel per partition, so no two workers
-           ever touch the same hash table and the "merge" is just the
-           sub-table array. [Dpool.partition] keeps each partition's
-           rows in ascending build order regardless of how workers
-           claimed morsels; probes route by the same hash the scatter
-           used and replay matches in that order. *)
-        let bt0 = Unix.gettimeofday () in
-        let keys = Array.make nr Value.Null in
-        let kw =
-          Dpool.run_ranges ctx.pool ~n:nr (fun ~worker:_ ~lo ~hi ->
-              check_deadline ticker;
-              match direct_rk with
-              | Some kc ->
-                for i = lo to hi - 1 do
-                  keys.(i) <- Batch.get r i kc
-                done
-              | None ->
-                let scratch = Array.make rw Value.Null in
-                for i = lo to hi - 1 do
-                  Batch.blit_row r i scratch 0;
-                  keys.(i) <- rf scratch
-                done)
-        in
-        let jh = Table.Join_hash.create ~parts:ctx.join_parts in
-        let starts, perm =
-          Dpool.partition ctx.pool ~n:nr ~parts:ctx.join_parts
-            ~part_of:(fun i ->
-              let k = keys.(i) in
-              if Value.is_null k then -1 else Table.Join_hash.part_of jh k)
-        in
-        let bw =
-          Dpool.run ctx.pool ~morsels:ctx.join_parts (fun ~worker:_ p ->
-              check_deadline ticker;
-              for s = starts.(p) to starts.(p + 1) - 1 do
-                let i = perm.(s) in
-                Table.Join_hash.add jh p keys.(i) i
-              done)
-        in
-        tick_bulk ticker nr;
-        stats.Opstats.build_rows <-
-          stats.Opstats.build_rows + starts.(ctx.join_parts);
-        stats.Opstats.partitions <- ctx.join_parts;
-        stats.Opstats.build_workers <- max kw bw;
-        stats.Opstats.build_ms <- (Unix.gettimeofday () -. bt0) *. 1000.0;
-        fun row f ->
-          let k = lf row in
-          if not (Value.is_null k) then Table.Join_hash.iter_matches jh k f
       | [ lf ], [ rf ] ->
         let tbl = VTbl.create (max 16 nr) in
         for i = nr - 1 downto 0 do
@@ -1221,7 +1115,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
        tick_bulk ticker (Batch.length b);
        let out = Batch.project b out_layout cols in
        finish
-         (finalize ticker ctx.pool stats ~distinct ~sort_keys:[] ~limit ~offset
+         (finalize ticker ~distinct ~sort_keys:[] ~limit ~offset
             out)
      | None ->
     let fns =
@@ -1260,7 +1154,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
           col.(i) <- (match src with `In f -> f scratch | `Out f -> f orow))
         sort_srcs sort_keys
     done;
-    finish (finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out))
+    finish (finalize ticker ~distinct ~sort_keys ~limit ~offset out))
   | Planner.Aggregate { input; keys; items; distinct; order_by; limit; offset } ->
     let b = child input in
     let in_layout = Batch.layout b in
@@ -1273,11 +1167,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         mutable all_int : bool;
         mutable minimum : Value.t option;
         mutable maximum : Value.t option;
-        seen : int KeyTbl.t option;
-            (* DISTINCT tracking: distinct key -> global index of its
-               first occurrence. The sequential path only tests
-               membership; the parallel merge replays keys in
-               first-occurrence order. *)
+        seen : unit KeyTbl.t option;  (* DISTINCT tracking *)
       }
     end in
     let compiled_items =
@@ -1307,8 +1197,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
       | Some x, Some y -> x < y
       | _ -> Value.compare a b < 0
     in
-    (* Scalar accumulator update — shared by the sequential path, the
-       parallel workers and the DISTINCT-merge replay. *)
+    (* Scalar accumulator update. *)
     let acc_apply (acc : Acc.t) v =
       acc.Acc.count <- acc.Acc.count + 1;
       (match Value.as_float v with
@@ -1365,215 +1254,54 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
                 | Sql_ast.A_max -> Option.value ~default:Value.Null acc.Acc.maximum))
            compiled_items)
     in
-    let out =
-      match morsels_for ctx.pool n with
-      | None ->
-        let groups : (Value.t array * Acc.t array) KeyTbl.t =
-          KeyTbl.create 64
-        in
-        let order = ref [] in
-        let scratch = Array.make (Batch.width b) Value.Null in
-        for i = 0 to n - 1 do
-          tick ticker;
-          Batch.blit_row b i scratch 0;
-          let key = List.map (fun f -> f scratch) key_fns in
-          let _, accs =
-            try KeyTbl.find groups key
-            with Not_found ->
-              let entry = (Array.copy scratch, fresh_accs ()) in
-              KeyTbl.add groups key entry;
-              order := key :: !order;
-              entry
-          in
-          let ai = ref 0 in
-          List.iter
-            (function
-              | `Plain _ -> ()
-              | `Agg (_, arg, _, _) ->
-                let acc = accs.(!ai) in
-                incr ai;
-                let v = arg_value arg scratch in
-                if counted arg v then begin
-                  let fresh =
-                    match acc.Acc.seen with
-                    | None -> true
-                    | Some seen ->
-                      let dk = distinct_key arg v scratch in
-                      if KeyTbl.mem seen dk then false
-                      else begin
-                        KeyTbl.add seen dk i;
-                        true
-                      end
-                  in
-                  if fresh then acc_apply acc v
-                end)
-            compiled_items
-        done;
-        (* SQL: no GROUP BY and no rows still yields one (empty) group. *)
-        if keys = [] && KeyTbl.length groups = 0 then begin
-          KeyTbl.add groups [] ([||], fresh_accs ());
-          order := [ [] ]
-        end;
-        let out = Batch.create ~capacity:(KeyTbl.length groups) out_layout in
-        List.iter
-          (fun key -> Batch.push_row out (emit_group (KeyTbl.find groups key)))
-          (List.rev !order);
-        out
-      | Some (m, msize) ->
-        (* Parallel aggregation: each worker folds the morsels it claims
-           into a private group table, partials merge at the barrier.
-           Groups carry the least global row index of any member so the
-           merged output can be emitted in first-occurrence order — the
-           sequential output order. *)
-        let module G = struct
-          type t = {
-            mutable fidx : int;  (* least global row index in the group *)
-            mutable frow : Value.t array;  (* copy of that row *)
-            accs : Acc.t array;
-          }
-        end in
-        let wgroups : G.t KeyTbl.t array =
-          Array.init (Dpool.size ctx.pool) (fun _ -> KeyTbl.create 64)
-        in
-        par_section stats ctx.pool ~morsels:m (fun ~worker mi ->
-            check_deadline ticker;
-            let groups = wgroups.(worker) in
-            let scratch = Array.make (Batch.width b) Value.Null in
-            let lo = mi * msize and hi = min n ((mi + 1) * msize) in
-            for i = lo to hi - 1 do
-              Batch.blit_row b i scratch 0;
-              let key = List.map (fun f -> f scratch) key_fns in
-              let g =
-                match KeyTbl.find_opt groups key with
-                | Some g ->
-                  (* Morsels are claimed out of order: keep the row with
-                     the least global index as group representative. *)
-                  if i < g.G.fidx then begin
-                    g.G.fidx <- i;
-                    g.G.frow <- Array.copy scratch
-                  end;
-                  g
-                | None ->
-                  let g =
-                    { G.fidx = i; frow = Array.copy scratch;
-                      accs = fresh_accs () }
-                  in
-                  KeyTbl.add groups key g;
-                  g
-              in
-              let ai = ref 0 in
-              List.iter
-                (function
-                  | `Plain _ -> ()
-                  | `Agg (_, arg, _, _) ->
-                    let acc = g.G.accs.(!ai) in
-                    incr ai;
-                    let v = arg_value arg scratch in
-                    if counted arg v then
-                      match acc.Acc.seen with
-                      | None -> acc_apply acc v
-                      | Some seen ->
-                        (* DISTINCT partials only record first-occurrence
-                           indices; the merge replays them globally so
-                           cross-worker duplicates collapse correctly. *)
-                        let dk = distinct_key arg v scratch in
-                        (match KeyTbl.find_opt seen dk with
-                         | Some j -> if i < j then KeyTbl.replace seen dk i
-                         | None -> KeyTbl.add seen dk i))
-                compiled_items
-            done);
-        tick_bulk ticker n;
-        let acc_merge (a : Acc.t) (p : Acc.t) =
-          a.Acc.count <- a.Acc.count + p.Acc.count;
-          a.Acc.sum <- a.Acc.sum +. p.Acc.sum;
-          a.Acc.all_int <- a.Acc.all_int && p.Acc.all_int;
-          (match p.Acc.minimum with
-           | None -> ()
-           | Some v ->
-             (match a.Acc.minimum with
-              | None -> a.Acc.minimum <- Some v
-              | Some mn -> if value_lt v mn then a.Acc.minimum <- Some v));
-          (match p.Acc.maximum with
-           | None -> ()
-           | Some v ->
-             (match a.Acc.maximum with
-              | None -> a.Acc.maximum <- Some v
-              | Some mx -> if value_lt mx v then a.Acc.maximum <- Some v));
-          match a.Acc.seen, p.Acc.seen with
-          | Some sa, Some sp ->
-            KeyTbl.iter
-              (fun dk i ->
-                match KeyTbl.find_opt sa dk with
-                | Some j -> if i < j then KeyTbl.replace sa dk i
-                | None -> KeyTbl.add sa dk i)
-              sp
-          | _ -> ()
-        in
-        let merged : G.t KeyTbl.t = KeyTbl.create 64 in
-        Array.iter
-          (fun wg ->
-            KeyTbl.iter
-              (fun key (g : G.t) ->
-                match KeyTbl.find_opt merged key with
-                | None -> KeyTbl.add merged key g
-                | Some mg ->
-                  if g.G.fidx < mg.G.fidx then begin
-                    mg.G.fidx <- g.G.fidx;
-                    mg.G.frow <- g.G.frow
-                  end;
-                  Array.iter2 acc_merge mg.G.accs g.G.accs)
-              wg)
-          wgroups;
-        (* Rebuild DISTINCT accumulators from their merged key sets,
-           replayed in first-occurrence order — identical to the
-           sequential accumulation, including float summation order. *)
-        let agg_has_arg =
-          Array.of_list
-            (List.filter_map
-               (function
-                 | `Plain _ -> None
-                 | `Agg (_, arg, _, _) -> Some (arg <> None))
-               compiled_items)
-        in
-        KeyTbl.iter
-          (fun _ (g : G.t) ->
-            Array.iteri
-              (fun ai (acc : Acc.t) ->
+    let groups : (Value.t array * Acc.t array) KeyTbl.t = KeyTbl.create 64 in
+    let order = ref [] in
+    let scratch = Array.make (Batch.width b) Value.Null in
+    for i = 0 to n - 1 do
+      tick ticker;
+      Batch.blit_row b i scratch 0;
+      let key = List.map (fun f -> f scratch) key_fns in
+      let _, accs =
+        try KeyTbl.find groups key
+        with Not_found ->
+          let entry = (Array.copy scratch, fresh_accs ()) in
+          KeyTbl.add groups key entry;
+          order := key :: !order;
+          entry
+      in
+      let ai = ref 0 in
+      List.iter
+        (function
+          | `Plain _ -> ()
+          | `Agg (_, arg, _, _) ->
+            let acc = accs.(!ai) in
+            incr ai;
+            let v = arg_value arg scratch in
+            if counted arg v then begin
+              let fresh =
                 match acc.Acc.seen with
-                | None -> ()
+                | None -> true
                 | Some seen ->
-                  acc.Acc.count <- 0;
-                  acc.Acc.sum <- 0.0;
-                  acc.Acc.all_int <- true;
-                  acc.Acc.minimum <- None;
-                  acc.Acc.maximum <- None;
-                  KeyTbl.fold (fun dk i l -> (i, dk) :: l) seen []
-                  |> List.sort (fun (i, _) (j, _) -> compare (i : int) j)
-                  |> List.iter (fun (_, dk) ->
-                         acc_apply acc
-                           (if agg_has_arg.(ai) then List.hd dk
-                            else Value.Bool true)))
-              g.G.accs)
-          merged;
-        let ordered =
-          List.sort
-            (fun (a : G.t) b -> compare a.G.fidx b.G.fidx)
-            (KeyTbl.fold (fun _ g l -> g :: l) merged [])
-        in
-        if keys = [] && ordered = [] then begin
-          let out = Batch.create ~capacity:1 out_layout in
-          Batch.push_row out (emit_group ([||], fresh_accs ()));
-          out
-        end
-        else begin
-          let out = Batch.create ~capacity:(List.length ordered) out_layout in
-          List.iter
-            (fun (g : G.t) ->
-              Batch.push_row out (emit_group (g.G.frow, g.G.accs)))
-            ordered;
-          out
-        end
-    in
+                  let dk = distinct_key arg v scratch in
+                  if KeyTbl.mem seen dk then false
+                  else begin
+                    KeyTbl.add seen dk ();
+                    true
+                  end
+              in
+              if fresh then acc_apply acc v
+            end)
+        compiled_items
+    done;
+    (* SQL: no GROUP BY and no rows still yields one (empty) group. *)
+    if keys = [] && KeyTbl.length groups = 0 then begin
+      KeyTbl.add groups [] ([||], fresh_accs ());
+      order := [ [] ]
+    end;
+    let out = Batch.create ~capacity:(KeyTbl.length groups) out_layout in
+    List.iter
+      (fun key -> Batch.push_row out (emit_group (KeyTbl.find groups key)))
+      (List.rev !order);
     (* Distinct / order / limit over the aggregated output. *)
     let sort_keys =
       match order_by with
@@ -1593,7 +1321,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         done;
         List.map (fun (_, col, asc) -> (col, asc)) cols
     in
-    finish (finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out)
+    finish (finalize ticker ~distinct ~sort_keys ~limit ~offset out)
   | Planner.Union_plan { all; parts } ->
     (match parts with
      | [] -> finish (Batch.create [||])
@@ -1633,11 +1361,9 @@ let materialize name (b : Batch.t) : Table.t =
     [timeout] is in seconds of wall time for the whole statement.
     [domains] caps the worker domains hot operators may fan out over
     (default: the database's {!Database.parallelism}; 1 keeps every
-    operator on its sequential code path). [join_partitions] requests a
-    radix partition count for parallel hash-join builds (default: the
-    database's {!Database.join_partitions}; 0 = auto from the pool
-    size). Neither knob changes results — only how the work is split. *)
-let run_with_stats ?timeout ?domains ?join_partitions db (stmt : stmt) :
+    operator on its sequential code path). The knob never changes
+    results — only how the work is split. *)
+let run_with_stats ?timeout ?domains db (stmt : stmt) :
     Batch.t * Opstats.t =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
   let ticker = { deadline; ops = 0 } in
@@ -1648,13 +1374,7 @@ let run_with_stats ?timeout ?domains ?join_partitions db (stmt : stmt) :
     Dpool.get
       (match domains with Some n -> n | None -> Database.parallelism db)
   in
-  let join_parts =
-    resolve_join_partitions pool
-      (match join_partitions with
-       | Some n -> n
-       | None -> Database.join_partitions db)
-  in
-  let ctx = { db = scope; ticker; ctes = Hashtbl.create 4; pool; join_parts } in
+  let ctx = { db = scope; ticker; ctes = Hashtbl.create 4; pool } in
   let wrap label (b, st) =
     let w = Opstats.make label in
     Opstats.add_child w st;
@@ -1681,16 +1401,16 @@ let run_with_stats ?timeout ?domains ?join_partitions db (stmt : stmt) :
   root.Opstats.seconds <- Unix.gettimeofday () -. t0;
   (b, root)
 
-let run ?timeout ?domains ?join_partitions db stmt =
-  fst (run_with_stats ?timeout ?domains ?join_partitions db stmt)
+let run ?timeout ?domains db stmt =
+  fst (run_with_stats ?timeout ?domains db stmt)
 
-let run_analyzed ?timeout ?domains ?join_partitions db stmt =
-  run_with_stats ?timeout ?domains ?join_partitions db stmt
+let run_analyzed ?timeout ?domains db stmt =
+  run_with_stats ?timeout ?domains db stmt
 
 (** Explain: the physical plans of each CTE and the body, as text. With
     [~analyze:true] the statement is also executed and the per-operator
     metrics tree appended. *)
-let explain ?(analyze = false) ?timeout ?domains ?join_partitions db
+let explain ?(analyze = false) ?timeout ?domains db
     (stmt : stmt) : string =
   let buf = Buffer.create 512 in
   let scope = Database.overlay db in
@@ -1705,7 +1425,7 @@ let explain ?(analyze = false) ?timeout ?domains ?join_partitions db
   Buffer.add_string buf "body:\n";
   Buffer.add_string buf (Planner.plan_to_string (Planner.plan_query scope stmt.body));
   if analyze then begin
-    let _, stats = run_with_stats ?timeout ?domains ?join_partitions db stmt in
+    let _, stats = run_with_stats ?timeout ?domains db stmt in
     Buffer.add_string buf "analyze:\n";
     Buffer.add_string buf (Opstats.to_string stats)
   end;

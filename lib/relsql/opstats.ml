@@ -21,14 +21,6 @@ type t = {
           parallelism the per-worker CPU time exceeds wall time, so
           EXPLAIN ANALYZE reports the section's elapsed span alongside
           the worker count instead of a misleading per-row figure *)
-  mutable partitions : int;
-      (** radix partitions of a partitioned hash-join build
-          (0 = build was not partitioned) *)
-  mutable build_workers : int;
-      (** domains that participated in the partitioned build *)
-  mutable build_ms : float;
-      (** wall milliseconds spent building the join hash table
-          (partition + scatter + sub-table build) *)
   mutable cache_hits : int;
       (** shared-scan-cache hits serving this operator *)
   mutable cache_misses : int;
@@ -49,8 +41,7 @@ type t = {
 
 let make label =
   { label; rows_in = 0; rows_out = 0; index_probes = 0; build_rows = 0;
-    seconds = 0.0; workers = 1; par_ms = 0.0; partitions = 0;
-    build_workers = 1; build_ms = 0.0; cache_hits = 0; cache_misses = 0;
+    seconds = 0.0; workers = 1; par_ms = 0.0; cache_hits = 0; cache_misses = 0;
     blocks_skipped = 0; rows_unpacked = 0; delta_rows = 0;
     tombstones_skipped = 0; est_rows = -1; children = [] }
 
@@ -96,10 +87,6 @@ let to_string root =
       Buffer.add_string buf (Printf.sprintf " probes=%d" node.index_probes);
     if node.build_rows > 0 then
       Buffer.add_string buf (Printf.sprintf " build=%d" node.build_rows);
-    if node.partitions > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf " parts=%d bworkers=%d build_ms=%.3f" node.partitions
-           node.build_workers node.build_ms);
     if node.cache_hits + node.cache_misses > 0 then
       Buffer.add_string buf
         (Printf.sprintf " scan_cache=%s"

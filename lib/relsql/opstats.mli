@@ -17,13 +17,6 @@ type t = {
           (1 = sequential execution) *)
   mutable par_ms : float;
       (** wall milliseconds spent inside the parallel section *)
-  mutable partitions : int;
-      (** radix partitions of a partitioned hash-join build
-          (0 = build was not partitioned) *)
-  mutable build_workers : int;
-      (** domains that participated in the partitioned build *)
-  mutable build_ms : float;
-      (** wall milliseconds spent building the join hash table *)
   mutable cache_hits : int;
       (** shared-scan-cache hits serving this operator *)
   mutable cache_misses : int;

@@ -19,8 +19,11 @@ let advance st =
   | [] -> ()
 
 let fail st msg =
-  let tok = peek st in
-  raise (Parse_error (Printf.sprintf "%s (at %s)" msg (token_to_string tok)))
+  let offset = match st.toks with (_, pos) :: _ -> pos | [] -> 0 in
+  raise
+    (Parse_error
+       (Printf.sprintf "%s (at %s, offset %d)" msg (token_to_string (peek st))
+          offset))
 
 let expect st t =
   if peek st = t then advance st

@@ -573,66 +573,6 @@ let storage_size t =
     0 t
 
 (* ------------------------------------------------------------------ *)
-(* Radix-partitioned join hash                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** The partition-indexed prober of the parallel hash-join build: a
-    power-of-two number of disjoint per-partition sub-tables mapping a
-    key value to a posting of build-row ids, "merged by pointer" — the
-    sub-table array {e is} the merged structure, probes route by key
-    hash without touching any other partition.
-
-    Key equality and hashing are {!Value.equal} / {!Value.hash} — the
-    same notions the executor's sequential single-key build uses — so a
-    partitioned build groups exactly the rows the sequential build
-    groups. Rows must be added in ascending build order per partition
-    (each partition is owned by one builder at a time); postings then
-    replay matches in global build order, which keeps partitioned
-    output bit-identical to the sequential join. *)
-module Join_hash = struct
-  module VH = Hashtbl.Make (struct
-    type nonrec t = Value.t
-    let equal = Value.equal
-    let hash = Value.hash
-  end)
-
-  type t = {
-    mask : int;  (* parts - 1; parts is a power of two *)
-    subs : posting VH.t array;
-  }
-
-  let create ~parts =
-    if parts <= 0 || parts land (parts - 1) <> 0 then
-      invalid_arg "Join_hash.create: parts must be a positive power of two";
-    { mask = parts - 1; subs = Array.init parts (fun _ -> VH.create 64) }
-
-  let parts h = Array.length h.subs
-
-  (** Which partition a key routes to (NULL keys never enter a build;
-      callers drop them before routing). *)
-  let part_of h k = Value.hash k land h.mask
-
-  (** [add h p k rid] appends [rid] under [k] in sub-table [p]. The
-      caller routes [p = part_of h k] and must own partition [p]
-      exclusively while adding (the parallel build's invariant). *)
-  let add h p k rid =
-    let sub = h.subs.(p) in
-    match VH.find sub k with
-    | pst -> posting_push pst rid
-    | exception Not_found ->
-      VH.add sub k { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
-
-  (** Iterate the build rows matching [k] in build (insertion) order. *)
-  let iter_matches h k (f : int -> unit) =
-    match VH.find h.subs.(Value.hash k land h.mask) k with
-    | exception Not_found -> ()
-    | p ->
-      for i = 0 to p.len - 1 do
-        f p.ids.(i)
-      done
-end
-
-(* ------------------------------------------------------------------ *)
 (* Freezing: compressed columnar mode                                   *)
 (* ------------------------------------------------------------------ *)
 

@@ -217,34 +217,3 @@ val snapshot : t -> t
 (** Fraction of cells that are NULL across the given column positions
     (live rows only). *)
 val null_fraction : t -> int list -> float
-
-(** The partition-indexed prober of the radix-partitioned parallel
-    hash-join build: a power-of-two number of disjoint per-partition
-    sub-tables mapping a key value ({!Value.equal} / {!Value.hash}
-    semantics, matching the executor's sequential build) to a posting
-    of build-row ids. Workers build partitions independently — the
-    sub-table array is the merged structure ("merged by pointer") and
-    probes route straight to one sub-table, so builders and probers
-    never contend. Adding rows in ascending build order per partition
-    makes probe results replay in global build order, keeping the
-    partitioned join bit-identical to the sequential one. *)
-module Join_hash : sig
-  type t
-
-  (** [create ~parts] with [parts] a positive power of two; raises
-      [Invalid_argument] otherwise. *)
-  val create : parts:int -> t
-
-  val parts : t -> int
-
-  (** Which partition a (non-NULL) key routes to. *)
-  val part_of : t -> Value.t -> int
-
-  (** [add h p k rid] appends [rid] under [k] in sub-table [p]; the
-      caller routes [p = part_of h k] and must own partition [p]
-      exclusively while adding. *)
-  val add : t -> int -> Value.t -> int -> unit
-
-  (** Iterate the build rows matching [k], in build order. *)
-  val iter_matches : t -> Value.t -> (int -> unit) -> unit
-end

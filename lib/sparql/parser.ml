@@ -22,8 +22,13 @@ let peek st = match st.toks with (t, _) :: _ -> t | [] -> EOF
 
 let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
+(* Errors name the offending token and its byte offset in the source. *)
 let fail st msg =
-  raise (Parse_error (Printf.sprintf "%s (at %s)" msg (token_to_string (peek st))))
+  let offset = match st.toks with (_, pos) :: _ -> pos | [] -> 0 in
+  raise
+    (Parse_error
+       (Printf.sprintf "%s (at %s, offset %d)" msg (token_to_string (peek st))
+          offset))
 
 let expect st t =
   if peek st = t then advance st
@@ -44,7 +49,7 @@ let accept_kw st kw =
 let resolve_pname st prefix local =
   match Hashtbl.find_opt st.prefixes prefix with
   | Some base -> base ^ local
-  | None -> raise (Parse_error ("undeclared prefix: " ^ prefix ^ ":"))
+  | None -> fail st ("undeclared prefix: " ^ prefix ^ ":")
 
 (* ------------------------------------------------------------------ *)
 (* Terms                                                               *)
@@ -62,8 +67,9 @@ let parse_literal_tail st lex =
        advance st;
        Rdf.Term.typed_lit lex dt
      | PNAME (p, l) ->
+       let dt = resolve_pname st p l in
        advance st;
-       Rdf.Term.typed_lit lex (resolve_pname st p l)
+       Rdf.Term.typed_lit lex dt
      | _ -> fail st "expected datatype IRI")
   | _ -> Rdf.Term.lit lex
 
@@ -77,8 +83,9 @@ let parse_term_pat st : term_pat =
     advance st;
     Term (Rdf.Term.iri s)
   | PNAME (p, l) ->
+    let iri = resolve_pname st p l in
     advance st;
-    Term (Rdf.Term.iri (resolve_pname st p l))
+    Term (Rdf.Term.iri iri)
   | BNODE b ->
     advance st;
     Term (Rdf.Term.bnode b)
@@ -298,8 +305,9 @@ and parse_unary_expr st =
     advance st;
     E_const (Rdf.Term.iri s)
   | PNAME (p, l) ->
+    let iri = resolve_pname st p l in
     advance st;
-    E_const (Rdf.Term.iri (resolve_pname st p l))
+    E_const (Rdf.Term.iri iri)
   | STRINGLIT lex ->
     advance st;
     E_const (parse_literal_tail st lex)
@@ -565,18 +573,18 @@ let parse_query_state st : query =
   let rec modifiers () =
     if accept_kw st "LIMIT" then begin
       (match peek st with
-       | INTLIT n ->
+       | INTLIT n when n >= 0 ->
          advance st;
          limit := Some n
-       | _ -> fail st "expected integer after LIMIT");
+       | _ -> fail st "expected non-negative integer after LIMIT");
       modifiers ()
     end
     else if accept_kw st "OFFSET" then begin
       (match peek st with
-       | INTLIT n ->
+       | INTLIT n when n >= 0 ->
          advance st;
          offset := Some n
-       | _ -> fail st "expected integer after OFFSET");
+       | _ -> fail st "expected non-negative integer after OFFSET");
       modifiers ()
     end
   in

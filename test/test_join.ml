@@ -1,17 +1,12 @@
-(** Radix-partitioned hash-join build and the shared scan cache:
-    partitioning/permutation units, [Table.Join_hash] and
-    [Table.version] units, scan-cache semantics, and the load-bearing
-    property — bit-identical join results at every
-    (domains, partitions) combination. *)
+(** The hash-join build and the shared scan cache: [Table.version]
+    units, scan-cache semantics, build metrics, and bit-identical join
+    results between sequential and parallel probing on NULL-heavy and
+    skewed keys. *)
 
 open Relsql
 
-let with_pool n f =
-  let pool = Dpool.create n in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown pool) (fun () -> f pool)
-
 (** Lower the parallel threshold so even tiny inputs take the morsel
-    and partitioned-build paths, run [f], and restore. *)
+    paths, run [f], and restore. *)
 let with_tiny_morsels f =
   let saved = !Executor.par_min_rows in
   Executor.par_min_rows := 2;
@@ -22,98 +17,6 @@ let batch_strings b =
     (fun row ->
       String.concat "\t" (List.map Value.to_string (Array.to_list row)))
     (Batch.to_rows b)
-
-(* ------------------------------------------------------------------ *)
-(* Dpool.partition                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_partition_histogram_scatter () =
-  with_pool 4 (fun pool ->
-      let n = 1_000 and parts = 8 in
-      let part_of i = i * 7 mod parts in
-      let starts, perm = Dpool.partition pool ~n ~parts ~part_of in
-      Alcotest.(check int) "starts has parts+1 entries" (parts + 1)
-        (Array.length starts);
-      Alcotest.(check int) "first boundary is 0" 0 starts.(0);
-      Alcotest.(check int) "last boundary covers all items" n starts.(parts);
-      Alcotest.(check int) "perm covers all items" n (Array.length perm);
-      let seen = Array.make n false in
-      for p = 0 to parts - 1 do
-        for s = starts.(p) to starts.(p + 1) - 1 do
-          let i = perm.(s) in
-          Alcotest.(check bool)
-            (Printf.sprintf "item %d appears once" i)
-            false seen.(i);
-          seen.(i) <- true;
-          Alcotest.(check int)
-            (Printf.sprintf "item %d landed in its partition" i)
-            p (part_of i);
-          (* Items must ascend within each bucket: this is what makes
-             the partitioned build replay global build order. *)
-          if s > starts.(p) then
-            Alcotest.(check bool) "ascending within bucket" true
-              (perm.(s - 1) < i)
-        done
-      done;
-      Alcotest.(check bool) "every item scattered" true
-        (Array.for_all Fun.id seen))
-
-let test_partition_drops_negative () =
-  with_pool 4 (fun pool ->
-      let n = 500 in
-      (* Drop every third item, as the join build drops NULL keys. *)
-      let part_of i = if i mod 3 = 0 then -1 else i land 3 in
-      let starts, perm = Dpool.partition pool ~n ~parts:4 ~part_of in
-      let kept = ref 0 in
-      for i = 0 to n - 1 do
-        if part_of i >= 0 then incr kept
-      done;
-      Alcotest.(check int) "dropped items excluded" !kept starts.(4);
-      Array.iter
-        (fun i ->
-          Alcotest.(check bool) "no dropped item in perm" true
-            (part_of i >= 0))
-        perm)
-
-let test_partition_single_bucket () =
-  with_pool 4 (fun pool ->
-      let n = 64 in
-      let starts, perm = Dpool.partition pool ~n ~parts:1 ~part_of:(fun _ -> 0) in
-      Alcotest.(check (array int)) "single bucket is the identity"
-        (Array.init n Fun.id) perm;
-      Alcotest.(check int) "all in bucket 0" n starts.(1))
-
-(* ------------------------------------------------------------------ *)
-(* Table.Join_hash                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_join_hash_build_order () =
-  let jh = Table.Join_hash.create ~parts:4 in
-  Alcotest.(check int) "parts" 4 (Table.Join_hash.parts jh);
-  (* Route each key to its partition and add rows in ascending order —
-     the contract the partitioned build maintains. *)
-  let keys = Array.init 40 (fun i -> Value.Int (i mod 5)) in
-  Array.iteri
-    (fun rid k -> Table.Join_hash.add jh (Table.Join_hash.part_of jh k) k rid)
-    keys;
-  for v = 0 to 4 do
-    let got = ref [] in
-    Table.Join_hash.iter_matches jh (Value.Int v) (fun rid ->
-        got := rid :: !got);
-    let got = List.rev !got in
-    let expect =
-      List.filter (fun rid -> rid mod 5 = v) (List.init 40 Fun.id)
-    in
-    Alcotest.(check (list int))
-      (Printf.sprintf "key %d matches in build order" v)
-      expect got
-  done;
-  let none = ref 0 in
-  Table.Join_hash.iter_matches jh (Value.Int 99) (fun _ -> incr none);
-  Alcotest.(check int) "absent key matches nothing" 0 !none;
-  Alcotest.check_raises "parts must be a power of two"
-    (Invalid_argument "Join_hash.create: parts must be a positive power of two")
-    (fun () -> ignore (Table.Join_hash.create ~parts:3))
 
 (* ------------------------------------------------------------------ *)
 (* Table.version                                                       *)
@@ -289,12 +192,11 @@ let test_scan_cache_delta_invalidation () =
     (sum_stats (fun n -> n.Opstats.cache_hits) s6)
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned build: metrics and edge cases                           *)
+(* Hash-join build: metrics and edge cases                             *)
 (* ------------------------------------------------------------------ *)
 
 (** Two index-free tables joined on one key — the planner has no choice
-    but a single-key hash join, which is the partitioned build's
-    territory. *)
+    but a single-key hash join. *)
 let join_db ~left ~right =
   let db = Database.create "joindb" in
   let lt = Database.create_table db "lt" (Schema.make [ "k"; "v" ]) in
@@ -309,36 +211,28 @@ let join_sql =
 let left_join_sql =
   "SELECT a.v, b.w FROM lt AS a LEFT JOIN rt AS b ON b.k = a.k"
 
-let test_partitioned_build_metrics () =
+let test_hash_build_metrics () =
   with_tiny_morsels (fun () ->
       let rows n = List.init n (fun i -> (Value.Int (i mod 7), i)) in
       let db = join_db ~left:(rows 200) ~right:(rows 100) in
       let stmt = Sql_parser.parse join_sql in
-      let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
-      let par, stats =
-        Executor.run_analyzed ~domains:4 ~join_partitions:8 db stmt
-      in
-      Alcotest.(check (list string)) "partitioned join ≡ sequential"
+      let seq = Executor.run ~domains:1 db stmt in
+      let par, stats = Executor.run_analyzed ~domains:4 db stmt in
+      Alcotest.(check (list string)) "parallel probe ≡ sequential"
         (batch_strings seq) (batch_strings par);
-      let node =
+      match
         List.find_opt
-          (fun n -> n.Opstats.partitions > 0)
+          (fun n -> n.Opstats.build_rows > 0)
           (Opstats.fold (fun acc n -> n :: acc) [] stats)
-      in
-      match node with
-      | None -> Alcotest.fail "no operator reported a partitioned build"
+      with
+      | None -> Alcotest.fail "no operator reported a hash-join build"
       | Some n ->
-        Alcotest.(check int) "partitions as requested" 8 n.Opstats.partitions;
-        Alcotest.(check bool) "build workers reported" true
-          (n.Opstats.build_workers >= 1);
-        Alcotest.(check bool) "build time reported" true
-          (n.Opstats.build_ms >= 0.0);
         Alcotest.(check int) "build rows counted (NULL-free input)" 100
           n.Opstats.build_rows;
-        Alcotest.(check bool) "rendering shows parts=" true
-          (Helpers.contains (Opstats.to_string n) "parts=8"))
+        Alcotest.(check bool) "rendering shows build=" true
+          (Helpers.contains (Opstats.to_string n) "build=100"))
 
-let test_partitioned_all_null_and_skew () =
+let test_hash_build_all_null_and_skew () =
   with_tiny_morsels (fun () ->
       let checks =
         [ (* All-NULL keys on both sides: inner join empty, left join
@@ -346,8 +240,8 @@ let test_partitioned_all_null_and_skew () =
           ( "all-null",
             List.init 50 (fun i -> (Value.Null, i)),
             List.init 50 (fun i -> (Value.Null, i)) );
-          (* Every build row under one key: one partition gets all the
-             data, the others stay empty. *)
+          (* Every build row under one key: one hot bucket holds the
+             whole build side. *)
           ( "single-key skew",
             List.init 40 (fun i -> (Value.Int 1, i)),
             List.init 60 (fun i -> (Value.Int 1, i)) );
@@ -365,92 +259,22 @@ let test_partitioned_all_null_and_skew () =
           List.iter
             (fun sql ->
               let stmt = Sql_parser.parse sql in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
-              List.iter
-                (fun (d, p) ->
-                  let par =
-                    Executor.run ~domains:d ~join_partitions:p db stmt
-                  in
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "%s (domains=%d parts=%d)" name d p)
-                    (batch_strings seq) (batch_strings par))
-                [ (1, 4); (2, 4); (4, 16) ])
+              let seq = Executor.run ~domains:1 db stmt in
+              let par = Executor.run ~domains:4 db stmt in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s (domains=4)" name)
+                (batch_strings seq) (batch_strings par))
             [ join_sql; left_join_sql ])
         checks)
 
 (* ------------------------------------------------------------------ *)
-(* Sequential ≡ partitioned, full matrix                               *)
-(* ------------------------------------------------------------------ *)
-
-let matrix_queries =
-  [ ("join-star",
-     "SELECT ?a ?b ?v WHERE { ?a <http://microbench.org/SV1> ?b . \
-      ?a <http://microbench.org/SV2> ?v }");
-    ("join-sorted",
-     "SELECT ?a ?b ?v WHERE { ?a <http://microbench.org/SV1> ?b . \
-      ?a <http://microbench.org/SV3> ?v } ORDER BY ?v ?a");
-    ("join-optional",
-     "SELECT ?a ?b ?v WHERE { ?a <http://microbench.org/SV1> ?b . \
-      OPTIONAL { ?a <http://microbench.org/MV1> ?v } }");
-    ("join-agg",
-     "SELECT ?b (COUNT(?a) AS ?n) WHERE { ?a <http://microbench.org/SV1> ?b . \
-      ?a <http://microbench.org/SV2> ?v } GROUP BY ?b") ]
-
-(** The tentpole property: for every dataset (fig1, generated micro,
-    spill-heavy micro under a starved layout) and every
-    (domains, partitions) combination, results are row-for-row,
-    order-included identical to the sequential executor. *)
-let test_seq_equals_partitioned_matrix () =
-  with_tiny_morsels (fun () ->
-      let datasets =
-        [ ("fig1", Helpers.fig1_triples (), Db2rdf.Layout.default,
-           [ ("fig1-star",
-              "SELECT ?f ?i WHERE { ?p <founder> ?f . ?f <industry> ?i }") ]);
-          ("micro",
-           Workloads.Micro.generate ~scale:2_000,
-           Db2rdf.Layout.make ~dph_cols:8 ~rph_cols:8,
-           matrix_queries);
-          (* 2-column layout: most predicates spill, so the executor
-             joins spill tables back in — a join-heavy plan shape. *)
-          ("micro-spill",
-           Workloads.Micro.generate ~scale:1_000,
-           Db2rdf.Layout.make ~dph_cols:2 ~rph_cols:2,
-           matrix_queries)
-        ]
-      in
-      List.iter
-        (fun (dname, triples, layout, queries) ->
-          let e, _, _ = Db2rdf.Engine.create_colored ~layout triples in
-          let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
-          List.iter
-            (fun (qname, src) ->
-              let stmt = Db2rdf.Engine.translate e (Sparql.Parser.parse src) in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
-              let expect = batch_strings seq in
-              List.iter
-                (fun domains ->
-                  List.iter
-                    (fun parts ->
-                      let got =
-                        Executor.run ~domains ~join_partitions:parts db stmt
-                      in
-                      Alcotest.(check (list string))
-                        (Printf.sprintf "%s/%s domains=%d partitions=%d"
-                           dname qname domains parts)
-                        expect (batch_strings got))
-                    [ 1; 4; 16 ])
-                [ 1; 2; 4 ])
-            queries)
-        datasets)
-
-(* ------------------------------------------------------------------ *)
-(* Property: random relations, partitioned ≡ sequential                *)
+(* Property: random relations, parallel ≡ sequential                   *)
 (* ------------------------------------------------------------------ *)
 
 let gen_relation : (Value.t * int) list QCheck.Gen.t =
   let open QCheck.Gen in
   (* Keys from a small domain with NULLs and heavy skew mixed in, so
-     partitions collide, stay empty, or take all the rows. *)
+     build buckets collide, stay empty, or take all the rows. *)
   let key =
     frequency
       [ (2, return Value.Null);
@@ -468,9 +292,9 @@ let print_relation rel =
        (fun (k, v) -> Printf.sprintf "(%s,%d)" (Value.to_string k) v)
        rel)
 
-let partitioned_join_matches_sequential =
+let parallel_join_matches_sequential =
   QCheck.Test.make
-    ~name:"partitioned hash join ≡ sequential on random relations"
+    ~name:"parallel hash join ≡ sequential on random relations"
     ~count:120
     (QCheck.make
        QCheck.Gen.(pair gen_relation gen_relation)
@@ -483,42 +307,15 @@ let partitioned_join_matches_sequential =
           List.for_all
             (fun sql ->
               let stmt = Sql_parser.parse sql in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
-              let expect = batch_strings seq in
+              let expect = batch_strings (Executor.run ~domains:1 db stmt) in
               List.for_all
-                (fun (d, p) ->
-                  expect
-                  = batch_strings
-                      (Executor.run ~domains:d ~join_partitions:p db stmt))
-                [ (1, 2); (2, 4); (4, 8); (4, 16) ])
+                (fun d ->
+                  expect = batch_strings (Executor.run ~domains:d db stmt))
+                [ 2; 4 ])
             [ join_sql; left_join_sql ]))
 
-(* ------------------------------------------------------------------ *)
-(* Differential fuzz with partitioned joins                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Fixed-seed differential sweep with parallel execution AND
-    partitioned join builds: every backend vs the reference evaluator. *)
-let test_fuzz_sweep_partitioned () =
-  let config =
-    { Fuzz.Runner.default_config with
-      seed = 4242; cases = 200; domains = 4; join_partitions = 8 }
-  in
-  let s = Fuzz.Runner.fuzz config in
-  Alcotest.(check int) "no divergences with domains=4 partitions=8" 0
-    s.Fuzz.Runner.divergent;
-  Alcotest.(check int) "all cases ran" 200 s.Fuzz.Runner.cases_run
-
 let suite =
-  [ Alcotest.test_case "dpool.partition: histogram/scatter" `Quick
-      test_partition_histogram_scatter;
-    Alcotest.test_case "dpool.partition: drops negatives" `Quick
-      test_partition_drops_negative;
-    Alcotest.test_case "dpool.partition: single bucket" `Quick
-      test_partition_single_bucket;
-    Alcotest.test_case "join_hash: build order + validation" `Quick
-      test_join_hash_build_order;
-    Alcotest.test_case "table: version bumps on every write" `Quick
+  [ Alcotest.test_case "table: version bumps on every write" `Quick
       test_table_version_bumps;
     Alcotest.test_case "scan cache: key versioning" `Quick
       test_scan_cache_key_versioning;
@@ -530,12 +327,8 @@ let suite =
       test_scan_cache_in_executor;
     Alcotest.test_case "scan cache: delta insert + merge invalidate" `Quick
       test_scan_cache_delta_invalidation;
-    Alcotest.test_case "partitioned build: metrics in ANALYZE" `Quick
-      test_partitioned_build_metrics;
-    Alcotest.test_case "partitioned build: all-NULL and skew keys" `Quick
-      test_partitioned_all_null_and_skew;
-    Alcotest.test_case "sequential ≡ partitioned (full matrix)" `Slow
-      test_seq_equals_partitioned_matrix;
-    QCheck_alcotest.to_alcotest partitioned_join_matches_sequential;
-    Alcotest.test_case "fuzz sweep with domains=4 partitions=8" `Slow
-      test_fuzz_sweep_partitioned ]
+    Alcotest.test_case "hash build: metrics in ANALYZE" `Quick
+      test_hash_build_metrics;
+    Alcotest.test_case "hash build: all-NULL and skew keys" `Quick
+      test_hash_build_all_null_and_skew;
+    QCheck_alcotest.to_alcotest parallel_join_matches_sequential ]

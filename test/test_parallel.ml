@@ -205,9 +205,10 @@ let batch_strings b =
         (List.map Relsql.Value.to_string (Array.to_list row)))
     (Relsql.Batch.to_rows b)
 
-(** Queries stressing every parallel operator: fused scan, hash-join
-    probe, grouped/global aggregation (with DISTINCT), and the parallel
-    sort — plus LIMIT/OFFSET so the k-way merge's tie-breaking shows. *)
+(** Queries over every parallel operator — fused scan and hash-join
+    probe — feeding the sequential DISTINCT, grouped/global aggregation
+    and stable sort (with LIMIT/OFFSET), whose output order depends on
+    the parallel operators emitting rows in sequential order. *)
 let par_queries =
   [ ("scan", "SELECT ?s ?o WHERE { ?s ?p ?o }");
     ("sort", "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s");
@@ -248,9 +249,9 @@ let test_seq_equals_par () =
           check ("micro " ^ name, src))
         Workloads.Micro.queries)
 
-(** Numeric aggregation (SUM/AVG over ints and decimals) under merged
-    per-worker partial states, checked against the reference evaluator
-    through the fuzzer's own differential comparison. *)
+(** Numeric aggregation (SUM/AVG over ints and decimals) over parallel
+    scans, checked against the reference evaluator through the fuzzer's
+    own differential comparison. *)
 let test_par_numeric_aggregates_vs_oracle () =
   let buf = Buffer.create 4096 in
   for i = 0 to 199 do

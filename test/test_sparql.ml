@@ -58,7 +58,11 @@ let test_parse_literals () =
   Alcotest.(check int) "4 triples" 4 (Ast.pattern_size q.Ast.where)
 
 let test_parse_errors () =
-  let bad = [ "SELECT"; "SELECT ?x WHERE { ?x <p> }"; "SELECT ?x WHERE { ?x foo:b ?y }" ] in
+  let bad =
+    [ "SELECT"; "SELECT ?x WHERE { ?x <p> }"; "SELECT ?x WHERE { ?x foo:b ?y }";
+      "SELECT ?x WHERE { ?x <p> ?y } LIMIT -1";
+      "SELECT ?x WHERE { ?x <p> ?y } LIMIT 2 OFFSET -1" ]
+  in
   List.iter
     (fun src ->
       match parse src with
